@@ -32,69 +32,40 @@ Quickstart::
         print(outcome)
 """
 
-from .core import Scope, SystemShape, ThreadId, device_thread, host_thread
-from .litmus import (
-    Expect,
-    LitmusTest,
-    make_test,
-    parse_condition,
-    run_litmus,
-    run_suite,
-    summarize,
-)
-from .litmus.parser import parse_litmus
-from .litmus.suite import SUITE
-from .mapping import (
-    BUGGY_RMW_SC,
-    DESCOPED,
-    STANDARD,
-    check_mapping,
-    check_mapping_axiom,
-    compile_program,
-    lift_candidate,
-)
-from .ptx import ProgramBuilder as _PtxProgramBuilder
-from .ptx import Sem
-from .rc11 import CProgramBuilder as _CProgramBuilder
-from .rc11 import MemOrder
-from .search import allowed_outcomes, candidate_executions
-from .search.rc11_search import c_allowed_outcomes
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
-#: Fluent builder for PTX litmus programs.
-ptx_builder = _PtxProgramBuilder
+_LAZY = {
+    "BUGGY_RMW_SC": "mapping.compiler",
+    "DESCOPED": "mapping.compiler",
+    "Expect": "litmus.test",
+    "LitmusTest": "litmus.test",
+    "MemOrder": "rc11.events",
+    "STANDARD": "mapping.compiler",
+    "SUITE": "litmus.suite",
+    "Scope": "core.scopes",
+    "Sem": "ptx.events",
+    "SystemShape": "core.scopes",
+    "ThreadId": "core.scopes",
+    "allowed_outcomes": "search.ptx_search",
+    "c_allowed_outcomes": "search.rc11_search",
+    "candidate_executions": "search.ptx_search",
+    "check_mapping": "mapping.checker",
+    "check_mapping_axiom": "mapping.checker",
+    "compile_program": "mapping.compiler",
+    "cpp_builder": "rc11.program:CProgramBuilder",  # scoped C++ programs
+    "device_thread": "core.scopes",
+    "host_thread": "core.scopes",
+    "lift_candidate": "mapping.lifting",
+    "make_test": "litmus.test",
+    "parse_condition": "litmus.conditions",
+    "parse_litmus": "litmus.parser",
+    "ptx_builder": "ptx.program:ProgramBuilder",  # PTX litmus programs
+    "run_litmus": "litmus.runner",
+    "run_suite": "litmus.runner",
+    "summarize": "litmus.runner",
+}
 
-#: Fluent builder for scoped C++ source programs.
-cpp_builder = _CProgramBuilder
-
-__all__ = [
-    "BUGGY_RMW_SC",
-    "DESCOPED",
-    "Expect",
-    "LitmusTest",
-    "MemOrder",
-    "STANDARD",
-    "SUITE",
-    "Scope",
-    "Sem",
-    "SystemShape",
-    "ThreadId",
-    "allowed_outcomes",
-    "c_allowed_outcomes",
-    "candidate_executions",
-    "check_mapping",
-    "check_mapping_axiom",
-    "compile_program",
-    "cpp_builder",
-    "device_thread",
-    "host_thread",
-    "lift_candidate",
-    "make_test",
-    "parse_condition",
-    "parse_litmus",
-    "ptx_builder",
-    "run_litmus",
-    "run_suite",
-    "summarize",
-]
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

@@ -1,22 +1,22 @@
 """A herd-style cat DSL over the shared relational AST."""
 
-from .interp import cat_consistent, check_cat, extend_env
-from .models import available_models, load_model
-from .parser import CatModel, CatSyntaxError, parse_cat, tokenize
-from .unparse import expr_to_cat, formula_to_cat, model_to_cat, ptx_to_cat
+from .._lazy import attach
 
-__all__ = [
-    "CatModel",
-    "CatSyntaxError",
-    "available_models",
-    "cat_consistent",
-    "check_cat",
-    "expr_to_cat",
-    "extend_env",
-    "formula_to_cat",
-    "load_model",
-    "model_to_cat",
-    "parse_cat",
-    "ptx_to_cat",
-    "tokenize",
-]
+_LAZY = {
+    "CatModel": "parser",
+    "CatSyntaxError": "parser",
+    "available_models": "models",
+    "cat_consistent": "interp",
+    "check_cat": "interp",
+    "expr_to_cat": "unparse",
+    "extend_env": "interp",
+    "formula_to_cat": "unparse",
+    "load_model": "models",
+    "model_to_cat": "unparse",
+    "parse_cat": "parser",
+    "ptx_to_cat": "unparse",
+    "tokenize": "parser",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

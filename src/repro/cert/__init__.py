@@ -17,24 +17,20 @@ VSIDS, no conflict analysis — so a bug in the 600-line solver cannot
 silently certify itself.
 """
 
-from .checker import CheckFailure, check_unsat_proof, check_witness
-from .drat import DratLogger, read_drat, write_drat
-from .verdict import (
-    Certificate,
-    certify_enumeration,
-    certify_symbolic,
-    skipped_certificate,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Certificate",
-    "CheckFailure",
-    "DratLogger",
-    "certify_enumeration",
-    "certify_symbolic",
-    "check_unsat_proof",
-    "check_witness",
-    "read_drat",
-    "skipped_certificate",
-    "write_drat",
-]
+_LAZY = {
+    "Certificate": "verdict",
+    "CheckFailure": "checker",
+    "DratLogger": "drat",
+    "certify_enumeration": "verdict",
+    "certify_symbolic": "verdict",
+    "check_unsat_proof": "checker",
+    "check_witness": "checker",
+    "read_drat": "drat",
+    "skipped_certificate": "verdict",
+    "write_drat": "drat",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

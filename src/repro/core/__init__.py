@@ -1,33 +1,23 @@
 """Shared substrate: scope trees, executions, and common vocabulary."""
 
-from .execution import Execution, program_order, same_location
-from .scopes import (
-    Scope,
-    ScopeInstance,
-    SystemShape,
-    ThreadId,
-    device_thread,
-    distinct_cta_threads,
-    host_thread,
-    mutually_inclusive,
-    same_cta_threads,
-    scope_includes,
-    scope_instance,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Execution",
-    "Scope",
-    "ScopeInstance",
-    "SystemShape",
-    "ThreadId",
-    "device_thread",
-    "distinct_cta_threads",
-    "host_thread",
-    "mutually_inclusive",
-    "program_order",
-    "same_cta_threads",
-    "same_location",
-    "scope_includes",
-    "scope_instance",
-]
+_LAZY = {
+    "Execution": "execution",
+    "Scope": "scopes",
+    "ScopeInstance": "scopes",
+    "SystemShape": "scopes",
+    "ThreadId": "scopes",
+    "device_thread": "scopes",
+    "distinct_cta_threads": "scopes",
+    "host_thread": "scopes",
+    "mutually_inclusive": "scopes",
+    "program_order": "execution",
+    "same_cta_threads": "scopes",
+    "same_location": "execution",
+    "scope_includes": "scopes",
+    "scope_instance": "scopes",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

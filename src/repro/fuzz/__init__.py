@@ -30,84 +30,47 @@ weak-memory tooling is validated in practice:
   empirical mirror of the paper's Figure 17) over corpus shapes.
 """
 
-from .coverage import (
-    CoverageMap,
-    bias_from_coverage,
-    case_features,
-    distill,
-    feature_hash,
-    result_features,
-)
-from .farm import (
-    FarmConfig,
-    FarmReport,
-    load_checkpoint,
-    run_farm,
-    save_checkpoint,
-    write_corpus,
-)
-from .gen import DEFAULT_VOCABULARY, FuzzCase, GenBias, cycle_pool, generate_case
-from .harness import (
-    FuzzBudget,
-    FuzzReport,
-    FuzzStats,
-    canonical_test_hash,
-    recheck_artifact,
-    run_fuzz,
-)
-from .sensitivity import (
-    axiom_probes,
-    render_sensitivity,
-    sensitivity_matrix,
-    undetected_axioms,
-)
-from .oracle import (
-    Check,
-    CaseVerdict,
-    Discrepancy,
-    EngineSpec,
-    Oracle,
-    check_test,
-    default_checks,
-)
-from .shrink import EngineCrash, ShrinkResult, shrink
+from .._lazy import attach
 
-__all__ = [
-    "DEFAULT_VOCABULARY",
-    "FuzzCase",
-    "GenBias",
-    "cycle_pool",
-    "generate_case",
-    "FuzzBudget",
-    "FuzzReport",
-    "FuzzStats",
-    "canonical_test_hash",
-    "recheck_artifact",
-    "run_fuzz",
-    "CoverageMap",
-    "bias_from_coverage",
-    "case_features",
-    "distill",
-    "feature_hash",
-    "result_features",
-    "FarmConfig",
-    "FarmReport",
-    "load_checkpoint",
-    "run_farm",
-    "save_checkpoint",
-    "write_corpus",
-    "axiom_probes",
-    "render_sensitivity",
-    "sensitivity_matrix",
-    "undetected_axioms",
-    "Check",
-    "CaseVerdict",
-    "Discrepancy",
-    "EngineSpec",
-    "Oracle",
-    "check_test",
-    "default_checks",
-    "EngineCrash",
-    "ShrinkResult",
-    "shrink",
-]
+_LAZY = {
+    "DEFAULT_VOCABULARY": "gen",
+    "FuzzCase": "gen",
+    "GenBias": "gen",
+    "cycle_pool": "gen",
+    "generate_case": "gen",
+    "FuzzBudget": "harness",
+    "FuzzReport": "harness",
+    "FuzzStats": "harness",
+    "canonical_test_hash": "harness",
+    "recheck_artifact": "harness",
+    "run_fuzz": "harness",
+    "CoverageMap": "coverage",
+    "bias_from_coverage": "coverage",
+    "case_features": "coverage",
+    "distill": "coverage",
+    "feature_hash": "coverage",
+    "result_features": "coverage",
+    "FarmConfig": "farm",
+    "FarmReport": "farm",
+    "load_checkpoint": "farm",
+    "run_farm": "farm",
+    "save_checkpoint": "farm",
+    "write_corpus": "farm",
+    "axiom_probes": "sensitivity",
+    "render_sensitivity": "sensitivity",
+    "sensitivity_matrix": "sensitivity",
+    "undetected_axioms": "sensitivity",
+    "Check": "oracle",
+    "CaseVerdict": "oracle",
+    "Discrepancy": "oracle",
+    "EngineSpec": "oracle",
+    "Oracle": "oracle",
+    "check_test": "oracle",
+    "default_checks": "oracle",
+    "EngineCrash": "shrink",
+    "ShrinkResult": "shrink",
+    "shrink": "shrink",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

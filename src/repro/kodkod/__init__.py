@@ -1,18 +1,19 @@
 """Bounded relational model finding over SAT (the Alloy/Kodkod analog)."""
 
-from .bounds import Bounds, RelBound, Universe
-from .finder import Instance, check, instances, solve, solve_translation
-from .translate import Translation, Translator
+from .._lazy import attach
 
-__all__ = [
-    "Bounds",
-    "Instance",
-    "RelBound",
-    "Translation",
-    "Translator",
-    "Universe",
-    "check",
-    "instances",
-    "solve",
-    "solve_translation",
-]
+_LAZY = {
+    "Bounds": "bounds",
+    "Instance": "finder",
+    "RelBound": "bounds",
+    "Translation": "translate",
+    "Translator": "translate",
+    "Universe": "bounds",
+    "check": "finder",
+    "instances": "finder",
+    "solve": "finder",
+    "solve_translation": "finder",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

@@ -340,7 +340,9 @@ def symbolic_outcomes(
     ``co`` restricted to the edges the enumerative engine can produce —
     morally strong pairs, init-write edges, and causality-forced edges —
     which maps every spuriously-ordered instance onto the outcome of its
-    minimally-ordered counterpart.
+    minimally-ordered counterpart.  The causality-forced edges are
+    computed from ``sc`` cut down the same way, to the transitive closure
+    of its morally strong fence pairs.
 
     Raises :class:`UnsupportedProgram` when some write's value is
     data-dependent (the instance alone cannot determine it).
@@ -401,6 +403,10 @@ def symbolic_outcomes(
             dst = elab.read_dst.get(read.eid)
             if dst is not None:
                 registers[(read.thread, dst)] = value_of(write)
+        # likewise ``sc``: the bounds admit every fence.sc pair, but the
+        # enumerative engine orders only morally strong ones (closed
+        # transitively); a spurious edge would force extra ``cause`` edges
+        sc = Relation(pair for pair in sc if pair in ms).closure()
         bound = env.bind("rf", env.to_kernel(rf)).bind("sc", env.to_kernel(sc))
         cause = eval_expr(cause_expr, bound)
         observable_co = Relation(

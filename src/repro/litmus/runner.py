@@ -21,6 +21,7 @@ import logging
 import time
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Optional,
@@ -29,7 +30,6 @@ from typing import (
     Tuple,
 )
 
-from ..cert.verdict import Certificate, skipped_certificate
 from ..core.deadline import TimeoutExceeded, deadline
 from ..registry import (
     MODELS,
@@ -37,10 +37,13 @@ from ..registry import (
     resolve_engine,
     resolve_model,
 )
-from ..sat.solver import SolverStats
 from ..search.ptx_search import EnumStats, Outcome
 from .config import RunConfig
 from .test import Expect, LitmusTest
+
+if TYPE_CHECKING:  # the certify and symbolic paths import these on use
+    from ..cert.verdict import Certificate
+    from ..sat.solver import SolverStats
 
 logger = logging.getLogger("repro.litmus")
 
@@ -164,7 +167,7 @@ def _run_certified(
     ``skipped`` certificate naming the reason — the caller can tell "not
     checkable" apart from "not checked".
     """
-    from ..cert.verdict import certify_symbolic
+    from ..cert.verdict import certify_symbolic, skipped_certificate
     from ..kodkod.litmus import UnsupportedCondition
 
     spec = resolve_model(config.model)

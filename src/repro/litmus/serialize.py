@@ -18,17 +18,19 @@ Round-trip guarantees (enforced by ``tests/test_litmus_serialize.py``):
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from ..cert.verdict import Certificate
 from ..core.scopes import Scope, SystemShape, ThreadId
 from ..ptx.events import Sem
 from ..ptx.isa import Atom, AtomOp, Bar, BarOp, Fence, Instruction, Ld, Red, St
 from ..ptx.program import Program, ThreadCode
-from ..sat.solver import SolverStats
 from ..schema import FORMAT_VERSION, assert_schema
 from ..search.ptx_search import EnumStats, Outcome
 from .conditions import AndC, Condition, MemEq, NotC, OrC, RegEq, TrueC
+
+if TYPE_CHECKING:  # decoding imports these on use: a plain run needs neither
+    from ..cert.verdict import Certificate
+    from ..sat.solver import SolverStats
 
 # FORMAT_VERSION lives in repro.schema (one place, re-exported here);
 # this module pins the versions it renders so a half-applied schema bump
@@ -462,6 +464,8 @@ def solver_stats_to_dict(stats: SolverStats) -> Dict:
 
 
 def solver_stats_from_dict(obj: Dict) -> SolverStats:
+    from ..sat.solver import SolverStats
+
     return SolverStats(**obj)
 
 
@@ -486,6 +490,8 @@ def certificate_to_dict(cert: Certificate) -> Dict:
 
 
 def certificate_from_dict(obj: Dict) -> Certificate:
+    from ..cert.verdict import Certificate
+
     return Certificate(
         polarity=obj["polarity"],
         status=obj["status"],

@@ -1,50 +1,29 @@
 """The scoped C++ → PTX compilation mapping and its verification (§4–§6)."""
 
-from .checker import (
-    CheckStats,
-    Counterexample,
-    MappingCheckResult,
-    check_mapping,
-    check_mapping_axiom,
-    check_program_against_axiom,
-)
-from .compiler import (
-    BUGGY_RMW_SC,
-    DESCOPED,
-    STANDARD,
-    CompiledProgram,
-    MappingScheme,
-    compile_op,
-    compile_program,
-    event_map,
-)
-from .lifting import Lift, lift_candidate
-from .skeletons import (
-    compositions,
-    count_skeletons,
-    cta_assignments,
-    source_skeletons,
-)
+from .._lazy import attach
 
-__all__ = [
-    "BUGGY_RMW_SC",
-    "CheckStats",
-    "CompiledProgram",
-    "Counterexample",
-    "DESCOPED",
-    "Lift",
-    "MappingCheckResult",
-    "MappingScheme",
-    "STANDARD",
-    "check_mapping",
-    "check_mapping_axiom",
-    "check_program_against_axiom",
-    "compile_op",
-    "compile_program",
-    "compositions",
-    "count_skeletons",
-    "cta_assignments",
-    "event_map",
-    "lift_candidate",
-    "source_skeletons",
-]
+_LAZY = {
+    "BUGGY_RMW_SC": "compiler",
+    "CheckStats": "checker",
+    "CompiledProgram": "compiler",
+    "Counterexample": "checker",
+    "DESCOPED": "compiler",
+    "Lift": "lifting",
+    "MappingCheckResult": "checker",
+    "MappingScheme": "compiler",
+    "STANDARD": "compiler",
+    "check_mapping": "checker",
+    "check_mapping_axiom": "checker",
+    "check_program_against_axiom": "checker",
+    "compile_op": "compiler",
+    "compile_program": "compiler",
+    "compositions": "skeletons",
+    "count_skeletons": "skeletons",
+    "cta_assignments": "skeletons",
+    "event_map": "compiler",
+    "lift_candidate": "lifting",
+    "source_skeletons": "skeletons",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

@@ -1,19 +1,15 @@
 """Operational baseline machines (SC interleaving, x86-TSO store buffers)."""
 
-from .machine import (
-    ScMachine,
-    TsoMachine,
-    UnsupportedInstruction,
-    sc_operational_outcomes,
-    supports_program,
-    tso_operational_outcomes,
-)
+from .._lazy import attach
 
-__all__ = [
-    "ScMachine",
-    "TsoMachine",
-    "UnsupportedInstruction",
-    "sc_operational_outcomes",
-    "supports_program",
-    "tso_operational_outcomes",
-]
+_LAZY = {
+    "ScMachine": "machine",
+    "TsoMachine": "machine",
+    "UnsupportedInstruction": "machine",
+    "sc_operational_outcomes": "machine",
+    "supports_program": "machine",
+    "tso_operational_outcomes": "machine",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

@@ -1,31 +1,24 @@
 """The machine-checked proof layer (alloqc/Coq analog, paper §5.3 & §6.2)."""
 
-from . import kernel
-from .kernel import ProofError, Thm
-from .lemmas import all_lemmas, ptx_lemmas, rc11_lemmas, seq_mono, subset_chain, union_member
-from .theorems import (
-    TheoremReport,
-    all_theorems,
-    check_all,
-    theorem_1_coherence,
-    theorem_2_atomicity,
-    theorem_3_sc,
-)
+from .._lazy import attach
 
-__all__ = [
-    "ProofError",
-    "TheoremReport",
-    "Thm",
-    "all_lemmas",
-    "all_theorems",
-    "check_all",
-    "kernel",
-    "ptx_lemmas",
-    "rc11_lemmas",
-    "seq_mono",
-    "subset_chain",
-    "theorem_1_coherence",
-    "theorem_2_atomicity",
-    "theorem_3_sc",
-    "union_member",
-]
+_LAZY = {
+    "ProofError": "kernel",
+    "TheoremReport": "theorems",
+    "Thm": "kernel",
+    "all_lemmas": "lemmas",
+    "all_theorems": "theorems",
+    "check_all": "theorems",
+    "kernel": "kernel:",
+    "ptx_lemmas": "lemmas",
+    "rc11_lemmas": "lemmas",
+    "seq_mono": "lemmas",
+    "subset_chain": "lemmas",
+    "theorem_1_coherence": "theorems",
+    "theorem_2_atomicity": "theorems",
+    "theorem_3_sc": "theorems",
+    "union_member": "lemmas",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

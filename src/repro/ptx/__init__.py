@@ -1,47 +1,38 @@
 """The formal PTX 6.0 memory consistency model (paper §3)."""
 
-from .events import Event, Kind, Sem, init_write, is_init
-from .isa import Atom, AtomOp, Bar, BarOp, Fence, Instruction, Ld, Membar, Red, St
-from .model import (
-    ConsistencyReport,
-    build_env,
-    check_execution,
-    data_races,
-    derived_relation,
-    is_race_free,
-    moral_strength,
-)
-from .program import Elaboration, Program, ProgramBuilder, ThreadCode, elaborate
-from .spec import AXIOMS, DERIVED
+from .._lazy import attach
 
-__all__ = [
-    "AXIOMS",
-    "Atom",
-    "AtomOp",
-    "Bar",
-    "BarOp",
-    "ConsistencyReport",
-    "DERIVED",
-    "Elaboration",
-    "Event",
-    "Fence",
-    "Instruction",
-    "Kind",
-    "Ld",
-    "Membar",
-    "Program",
-    "ProgramBuilder",
-    "Red",
-    "Sem",
-    "St",
-    "ThreadCode",
-    "build_env",
-    "check_execution",
-    "data_races",
-    "derived_relation",
-    "elaborate",
-    "init_write",
-    "is_init",
-    "is_race_free",
-    "moral_strength",
-]
+_LAZY = {
+    "AXIOMS": "spec",
+    "Atom": "isa",
+    "AtomOp": "isa",
+    "Bar": "isa",
+    "BarOp": "isa",
+    "ConsistencyReport": "model",
+    "DERIVED": "spec",
+    "Elaboration": "program",
+    "Event": "events",
+    "Fence": "isa",
+    "Instruction": "isa",
+    "Kind": "events",
+    "Ld": "isa",
+    "Membar": "isa",
+    "Program": "program",
+    "ProgramBuilder": "program",
+    "Red": "isa",
+    "Sem": "events",
+    "St": "isa",
+    "ThreadCode": "program",
+    "build_env": "model",
+    "check_execution": "model",
+    "data_races": "model",
+    "derived_relation": "model",
+    "elaborate": "program",
+    "init_write": "events",
+    "is_init": "events",
+    "is_race_free": "model",
+    "moral_strength": "model",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

@@ -1,55 +1,35 @@
 """The scope-extended RC11 ("scoped C++") memory model (paper §4.1)."""
 
-from .events import CEvent, CKind, MemOrder, c_init_write, c_is_init
-from .model import (
-    Rc11Report,
-    build_env,
-    check_execution,
-    data_races,
-    inclusion,
-    is_race_free,
-)
-from .program import (
-    CElaboration,
-    CFence,
-    CLoad,
-    COp,
-    CProgram,
-    CProgramBuilder,
-    CRmw,
-    CStore,
-    CThread,
-    c_elaborate,
-    read_node,
-    write_node,
-)
-from .spec import AXIOMS, AXIOMS_WITH_THIN_AIR, DERIVED
+from .._lazy import attach
 
-__all__ = [
-    "AXIOMS",
-    "AXIOMS_WITH_THIN_AIR",
-    "CElaboration",
-    "CEvent",
-    "CFence",
-    "CKind",
-    "CLoad",
-    "COp",
-    "CProgram",
-    "CProgramBuilder",
-    "CRmw",
-    "CStore",
-    "CThread",
-    "DERIVED",
-    "MemOrder",
-    "Rc11Report",
-    "build_env",
-    "c_elaborate",
-    "c_init_write",
-    "c_is_init",
-    "check_execution",
-    "data_races",
-    "inclusion",
-    "is_race_free",
-    "read_node",
-    "write_node",
-]
+_LAZY = {
+    "AXIOMS": "spec",
+    "AXIOMS_WITH_THIN_AIR": "spec",
+    "CElaboration": "program",
+    "CEvent": "events",
+    "CFence": "program",
+    "CKind": "events",
+    "CLoad": "program",
+    "COp": "program",
+    "CProgram": "program",
+    "CProgramBuilder": "program",
+    "CRmw": "program",
+    "CStore": "program",
+    "CThread": "program",
+    "DERIVED": "spec",
+    "MemOrder": "events",
+    "Rc11Report": "model",
+    "build_env": "model",
+    "c_elaborate": "program",
+    "c_init_write": "events",
+    "c_is_init": "events",
+    "check_execution": "model",
+    "data_races": "model",
+    "inclusion": "model",
+    "is_race_free": "model",
+    "read_node": "program",
+    "write_node": "program",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

@@ -1,19 +1,19 @@
 """Finite relational algebra: the substrate under every axiomatic model."""
 
-from .bitrel import BitRel, BitSet, Universe
-from .fixpoint import least_fixpoint, recursive_union
-from .incremental import IncrementalClosure
-from .relation import Relation, acyclic, iden_over, irreflexive
+from .._lazy import attach
 
-__all__ = [
-    "BitRel",
-    "BitSet",
-    "IncrementalClosure",
-    "Relation",
-    "Universe",
-    "acyclic",
-    "iden_over",
-    "irreflexive",
-    "least_fixpoint",
-    "recursive_union",
-]
+_LAZY = {
+    "BitRel": "bitrel",
+    "BitSet": "bitrel",
+    "IncrementalClosure": "incremental",
+    "Relation": "relation",
+    "Universe": "bitrel",
+    "acyclic": "relation",
+    "iden_over": "relation",
+    "irreflexive": "relation",
+    "least_fixpoint": "fixpoint",
+    "recursive_union": "fixpoint",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

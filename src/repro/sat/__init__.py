@@ -1,27 +1,20 @@
 """A from-scratch incremental CDCL SAT solver: the backend of the relational model finder."""
 
-from .cnf import Cnf
-from .dimacs import read_dimacs, write_dimacs, write_dimacs_clauses
-from .solver import (
-    Clause,
-    Solver,
-    SolverStats,
-    Unsatisfiable,
-    enumerate_models,
-    luby,
-    solve_cnf,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Clause",
-    "Cnf",
-    "Solver",
-    "SolverStats",
-    "Unsatisfiable",
-    "enumerate_models",
-    "luby",
-    "read_dimacs",
-    "solve_cnf",
-    "write_dimacs",
-    "write_dimacs_clauses",
-]
+_LAZY = {
+    "Clause": "solver",
+    "Cnf": "cnf",
+    "Solver": "solver",
+    "SolverStats": "solver",
+    "Unsatisfiable": "solver",
+    "enumerate_models": "solver",
+    "luby": "solver",
+    "read_dimacs": "dimacs",
+    "solve_cnf": "solver",
+    "write_dimacs": "dimacs",
+    "write_dimacs_clauses": "dimacs",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

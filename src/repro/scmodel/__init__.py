@@ -1,6 +1,14 @@
 """The sequential-consistency baseline model."""
 
-from .model import ScReport, build_env, check_execution
-from .spec import AXIOMS, DERIVED
+from .._lazy import attach
 
-__all__ = ["AXIOMS", "DERIVED", "ScReport", "build_env", "check_execution"]
+_LAZY = {
+    "AXIOMS": "spec",
+    "DERIVED": "spec",
+    "ScReport": "model",
+    "build_env": "model",
+    "check_execution": "model",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

@@ -1,18 +1,18 @@
 """Candidate-execution enumeration (the herd-style litmus engine)."""
 
-from .posets import oriented_orders, total_orders, total_orders_with_first
-from .ptx_search import Candidate, Outcome, allowed_outcomes, candidate_executions
-from .rf_check import rf_check_outcomes
-from .values import valuations
+from .._lazy import attach
 
-__all__ = [
-    "Candidate",
-    "Outcome",
-    "allowed_outcomes",
-    "candidate_executions",
-    "oriented_orders",
-    "rf_check_outcomes",
-    "total_orders",
-    "total_orders_with_first",
-    "valuations",
-]
+_LAZY = {
+    "Candidate": "ptx_search",
+    "Outcome": "ptx_search",
+    "allowed_outcomes": "ptx_search",
+    "candidate_executions": "ptx_search",
+    "oriented_orders": "posets",
+    "rf_check_outcomes": "rf_check",
+    "total_orders": "posets",
+    "total_orders_with_first": "posets",
+    "valuations": "values",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

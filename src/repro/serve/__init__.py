@@ -21,25 +21,23 @@ work (fuzzing-farm fan-out, remote cache tiers) has a skeleton to plug
 into.
 """
 
-from .client import Client, ServiceError, ServiceSaturated
-from .coalesce import Coalescer
-from .protocol import ApiError, REQUEST_LIMIT_BYTES, request_key
-from .service import ServeConfig, VerdictService
-from .store import VerdictStore, StoreStats
-from .http import serve_forever, start_in_thread
+from .._lazy import attach
 
-__all__ = [
-    "ApiError",
-    "Client",
-    "Coalescer",
-    "REQUEST_LIMIT_BYTES",
-    "ServeConfig",
-    "ServiceError",
-    "ServiceSaturated",
-    "StoreStats",
-    "VerdictService",
-    "VerdictStore",
-    "request_key",
-    "serve_forever",
-    "start_in_thread",
-]
+_LAZY = {
+    "ApiError": "protocol",
+    "Client": "client",
+    "Coalescer": "coalesce",
+    "REQUEST_LIMIT_BYTES": "protocol",
+    "ServeConfig": "service",
+    "ServiceError": "client",
+    "ServiceSaturated": "client",
+    "StoreStats": "store",
+    "VerdictService": "service",
+    "VerdictStore": "store",
+    "request_key": "protocol",
+    "serve_forever": "http",
+    "start_in_thread": "http",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

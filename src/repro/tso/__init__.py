@@ -1,6 +1,14 @@
 """The TSO baseline model (paper Figure 2)."""
 
-from .model import TsoReport, build_env, check_execution
-from .spec import AXIOMS, DERIVED
+from .._lazy import attach
 
-__all__ = ["AXIOMS", "DERIVED", "TsoReport", "build_env", "check_execution"]
+_LAZY = {
+    "AXIOMS": "spec",
+    "DERIVED": "spec",
+    "TsoReport": "model",
+    "build_env": "model",
+    "check_execution": "model",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

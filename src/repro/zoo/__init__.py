@@ -9,55 +9,33 @@ conformance matrix (:func:`~repro.zoo.matrix.build_matrix`) compares all
 of them pairwise with witness litmus tests; the fuzz oracle derives a
 cross-model check from every declared claim.
 
-The declarations (:mod:`.model`, :mod:`.models`) import eagerly — they
-are pure data, cheap enough for the registry.  The engine and matrix
-load lazily on first attribute access so ``import repro.registry`` does
-not pay for the search machinery.
+Like every package namespace here it is lazy (:mod:`repro._lazy`): the
+declarations, the engine and the matrix load on first attribute access,
+so ``import repro.registry`` does not pay for the search machinery.
 """
 
-from .model import Claim, EventSignature, WitnessSpec, ZooModel
-from .models import (
-    ZOO,
-    ZOO_MODELS,
-    containment_claims,
-    resolve_zoo,
-    zoo_names,
-)
+from .._lazy import attach
 
-#: lazily loaded from :mod:`.engine` / :mod:`.matrix` (PEP 562)
 _LAZY = {
+    "Claim": "model",
+    "EventSignature": "model",
+    "WitnessSpec": "model",
+    "ZOO": "models",
+    "ZOO_MODELS": "models",
+    "ZooModel": "model",
+    "containment_claims": "models",
+    "resolve_zoo": "models",
+    "zoo_names": "models",
     "BUILDERS": "engine",
+    "MatrixCell": "matrix",
+    "ModelMatrix": "matrix",
     "PREDICATES": "engine",
+    "build_matrix": "matrix",
     "concrete_observations": "engine",
+    "matrix_corpus": "matrix",
     "zoo_candidates": "engine",
     "zoo_outcomes": "engine",
-    "ModelMatrix": "matrix",
-    "MatrixCell": "matrix",
-    "build_matrix": "matrix",
-    "matrix_corpus": "matrix",
 }
 
-__all__ = [
-    "Claim",
-    "EventSignature",
-    "WitnessSpec",
-    "ZOO",
-    "ZOO_MODELS",
-    "ZooModel",
-    "containment_claims",
-    "resolve_zoo",
-    "zoo_names",
-    *sorted(_LAZY),
-]
-
-
-def __getattr__(name):
-    try:
-        module_name = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    from importlib import import_module
-
-    return getattr(import_module(f".{module_name}", __name__), name)
+__all__ = list(_LAZY)
+__getattr__, __dir__ = attach(__name__, _LAZY)

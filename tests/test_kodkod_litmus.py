@@ -108,3 +108,58 @@ def test_instance_enumeration_stats_show_reuse():
     assert count == 16
     assert len(stats) == count  # one snapshot per yielded instance
     assert all(snap.solves == 1 for snap in stats)
+
+
+# fence.sc.cta in different CTAs: the two fences are not morally strong,
+# so no sc edge may order them and the writes to y stay unordered.  The
+# bounds still admit an sc edge between them, which once forced co 2->1
+# and gave a spurious [y]={1} outcome under symbolic-enum.
+_CROSS_CTA_FENCES = """\
+ptx test FenceSC.cta+cross-cta-WW
+thread d0c0t0
+  fence.sc.cta
+  st.weak [y], 1
+thread d0c1t0
+  st.weak [y], 2
+  fence.sc.cta
+allowed: [y]=1
+"""
+
+# a gpu-scoped fence in between relates both cta fences, so the enumerative
+# sc order reaches the cross-CTA pair transitively and [y]={1} is real
+_TRANSITIVE_FENCES = """\
+ptx test FenceSC.cta+gpu+cross-cta-WW
+thread d0c0t0
+  fence.sc.cta
+  st.weak [y], 1
+thread d0c0t1
+  fence.sc.gpu
+thread d0c1t0
+  st.weak [y], 2
+  fence.sc.gpu
+allowed: [y]=1
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [_CROSS_CTA_FENCES, _TRANSITIVE_FENCES], ids=["cross-cta", "transitive"]
+)
+def test_symbolic_enum_decodes_sc_over_morally_strong_fences(text):
+    from repro.fuzz import Oracle, default_checks
+    from repro.litmus import RunConfig
+    from repro.litmus.parser import parse_litmus
+
+    test = parse_litmus(text)
+    symbolic = run_litmus(test, config=RunConfig(engine="symbolic-enum")).outcomes
+    for engine, kernel in [
+        ("enumerative", "set"),
+        ("enumerative", "bit"),
+        ("enumerative", "compiled"),
+        ("rf-check", "bit"),
+    ]:
+        reference = run_litmus(test, config=RunConfig(engine=engine, kernel=kernel))
+        assert reference.outcomes == symbolic, (engine, kernel)
+    checks = [c for c in default_checks() if c.kind == "ptx-outcomes"]
+    verdict = Oracle(checks).evaluate_one(test)
+    assert verdict.agreed == ("ptx-outcomes",)
+    assert verdict.clean
