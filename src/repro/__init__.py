@@ -16,8 +16,9 @@ Memory Consistency Model"* (Lustig, Sahasrabuddhe, Giroux — ASPLOS 2019):
   and a from-scratch CDCL SAT solver underneath it (§5.1–5.2);
 * :mod:`repro.proof` — an LCF-style proof kernel plus the §6.2 soundness
   theorems (the alloqc/Coq analog);
-* :mod:`repro.tso`, :mod:`repro.scmodel` — the TSO (Figure 2) and SC
-  baseline models.
+* :mod:`repro.zoo` + :mod:`repro.cat` — every axiomatic model declared
+  as ``.cat`` text plus an event signature, run by one generic
+  enumerator; the TSO (Figure 2) and SC baselines live only there.
 
 Quickstart::
 

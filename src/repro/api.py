@@ -33,110 +33,68 @@ notice.  The surface is deliberately small:
 ``API_VERSION`` counts redesigns of this surface; it is independent of
 the package version and of :data:`~repro.schema.CACHE_SCHEMA_VERSION`
 (which tracks the on-disk/wire payload format).
+
+Like the package namespaces, the surface is lazy (:mod:`repro._lazy`):
+``import repro.api`` loads no subpackage, and each name imports its
+module on first use.
 """
 
-from __future__ import annotations
-
 from . import __version__
-from .cert.verdict import Certificate
-from .fuzz import (
-    CoverageMap,
-    FarmConfig,
-    FarmReport,
-    run_farm,
-    sensitivity_matrix,
-    undetected_axioms,
-    write_corpus,
-)
-from .litmus.config import RunConfig, freeze_opts
-from .litmus.corpus import regression_corpus
-from .litmus.runner import LitmusResult, run_litmus, run_suite, summarize
-from .litmus.session import Session, SessionStats
-from .litmus.test import Expect, LitmusTest
-from .registry import (
-    ENGINES,
-    MODELS,
-    UnknownNameError,
-    engine_names,
-    engines_for_model,
-    model_names,
-    resolve_engine,
-    resolve_model,
-)
-from .schema import CACHE_SCHEMA_VERSION
-from .serve import (
-    Client,
-    ServeConfig,
-    ServiceError,
-    ServiceSaturated,
-    VerdictService,
-    serve_forever,
-    start_in_thread,
-)
-from .zoo import (
-    ZOO_MODELS,
-    Claim,
-    EventSignature,
-    ModelMatrix,
-    WitnessSpec,
-    ZooModel,
-    build_matrix,
-    concrete_observations,
-    containment_claims,
-    zoo_names,
-    zoo_outcomes,
-)
+from ._lazy import attach
 
 #: bumped when this surface changes incompatibly
 API_VERSION = 1
 
-__all__ = [
-    "API_VERSION",
-    "CACHE_SCHEMA_VERSION",
-    "Certificate",
-    "Claim",
-    "Client",
-    "CoverageMap",
-    "ENGINES",
-    "EventSignature",
-    "Expect",
-    "FarmConfig",
-    "FarmReport",
-    "LitmusResult",
-    "LitmusTest",
-    "MODELS",
-    "ModelMatrix",
-    "RunConfig",
-    "ServeConfig",
-    "ServiceError",
-    "ServiceSaturated",
-    "Session",
-    "SessionStats",
-    "UnknownNameError",
-    "VerdictService",
-    "WitnessSpec",
-    "ZOO_MODELS",
-    "ZooModel",
-    "__version__",
-    "build_matrix",
-    "concrete_observations",
-    "containment_claims",
-    "engine_names",
-    "engines_for_model",
-    "freeze_opts",
-    "model_names",
-    "regression_corpus",
-    "resolve_engine",
-    "resolve_model",
-    "run_farm",
-    "run_litmus",
-    "run_suite",
-    "sensitivity_matrix",
-    "serve_forever",
-    "start_in_thread",
-    "summarize",
-    "undetected_axioms",
-    "write_corpus",
-    "zoo_names",
-    "zoo_outcomes",
-]
+# this is a module, not a package: each target's leading dot climbs to
+# ``repro`` (``.schema`` is ``repro.schema``)
+_LAZY = {
+    "CACHE_SCHEMA_VERSION": ".schema",
+    "Certificate": ".cert.verdict",
+    "Claim": ".zoo",
+    "Client": ".serve",
+    "CoverageMap": ".fuzz",
+    "ENGINES": ".registry",
+    "EventSignature": ".zoo",
+    "Expect": ".litmus.test",
+    "FarmConfig": ".fuzz",
+    "FarmReport": ".fuzz",
+    "LitmusResult": ".litmus.runner",
+    "LitmusTest": ".litmus.test",
+    "MODELS": ".registry",
+    "ModelMatrix": ".zoo",
+    "RunConfig": ".litmus.config",
+    "ServeConfig": ".serve",
+    "ServiceError": ".serve",
+    "ServiceSaturated": ".serve",
+    "Session": ".litmus.session",
+    "SessionStats": ".litmus.session",
+    "UnknownNameError": ".registry",
+    "VerdictService": ".serve",
+    "WitnessSpec": ".zoo",
+    "ZOO_MODELS": ".zoo",
+    "ZooModel": ".zoo",
+    "build_matrix": ".zoo",
+    "concrete_observations": ".zoo",
+    "containment_claims": ".zoo",
+    "engine_names": ".registry",
+    "engines_for_model": ".registry",
+    "freeze_opts": ".litmus.config",
+    "model_names": ".registry",
+    "regression_corpus": ".litmus.corpus",
+    "resolve_engine": ".registry",
+    "resolve_model": ".registry",
+    "run_farm": ".fuzz",
+    "run_litmus": ".litmus.runner",
+    "run_suite": ".litmus.runner",
+    "sensitivity_matrix": ".fuzz",
+    "serve_forever": ".serve",
+    "start_in_thread": ".serve",
+    "summarize": ".litmus.runner",
+    "undetected_axioms": ".fuzz",
+    "write_corpus": ".fuzz",
+    "zoo_names": ".zoo",
+    "zoo_outcomes": ".zoo",
+}
+
+__all__ = sorted(["API_VERSION", "__version__", *_LAZY])
+__getattr__, __dir__ = attach(__name__, _LAZY)

@@ -1,10 +1,12 @@
 """The shipped cat model library.
 
 Textual definitions of every model in the repository, in the herd-style
-DSL of :mod:`repro.cat.parser`.  Tests verify that each cat model agrees
-verdict-for-verdict with its Python-AST twin on candidate executions —
-the same single-source-of-truth discipline the paper applies between its
-Alloy and Coq artifacts.
+DSL of :mod:`repro.cat.parser`.  For TSO, SC and the RC11 variants added
+through the zoo this text is the only definition.  PTX and scoped RC11
+also have a Python-AST twin (:mod:`repro.ptx.spec`,
+:mod:`repro.rc11.spec`); tests check each pair verdict-for-verdict on
+candidate executions — the same single-source-of-truth discipline the
+paper applies between its Alloy and Coq artifacts.
 
 One phrasing difference from :mod:`repro.ptx.spec`: cat constraints are
 ``acyclic``/``irreflexive``/``empty`` only (no inclusion assertions), so

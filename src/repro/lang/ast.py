@@ -4,7 +4,8 @@ The paper's methodology hinges on having *one* model description consumed by
 every tool: the Alloy model is both empirically tested (via Kodkod/SAT) and
 compiled to Coq (via alloqc) for proof.  This module is our analog of the
 Alloy DSL: memory models (:mod:`repro.ptx.spec`, :mod:`repro.rc11.spec`,
-:mod:`repro.tso.spec`) are written once as ASTs defined here and are then
+and every :mod:`repro.cat` model once parsed) are ASTs built from the nodes
+defined here, and are then
 
 * evaluated concretely over candidate executions (:mod:`repro.lang.eval`),
 * translated to CNF for bounded model finding (:mod:`repro.kodkod`), and

@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # decoding imports these on use: a plain run needs neither
 # FORMAT_VERSION lives in repro.schema (one place, re-exported here);
 # this module pins the versions it renders so a half-applied schema bump
 # fails at import.
-assert_schema("repro.litmus.serialize", cache=7)
+assert_schema("repro.litmus.serialize", cache=8)
 
 
 def canonical_json(payload) -> str:

@@ -62,9 +62,9 @@ class UnknownNameError(KeyError, ValueError):
 #: Relation-representation kernels the enumerative searches understand.
 #: Verdicts and outcome sets are kernel-independent by construction (the
 #: agreement tests pin this); the choice only moves the time/space
-#: trade-off.  Models whose ``ModelSpec.kernels`` is empty (operational
-#: machines, the CPU total searches, the legacy PTX variant) have no
-#: kernel surface and silently ignore the configured kernel.
+#: trade-off.  Every zoo-backed model takes a kernel; the others (the
+#: operational machines and the legacy PTX variant) have an empty
+#: ``ModelSpec.kernels`` and silently ignore the configured kernel.
 KERNELS: Dict[str, str] = {
     "set": "hashed tuple-set relations (reference semantics)",
     "bit": "dense bitset relations (interpreted hot path, default)",
@@ -98,24 +98,6 @@ def _ptx_legacy_outcomes(program, **opts):
     from .ptx.legacy import legacy_allowed_outcomes
 
     return legacy_allowed_outcomes(program, **opts)
-
-
-def _tso_outcomes(program, **opts):
-    from .search.total_search import allowed_outcomes_total
-    from .tso import check_execution as tso_check
-
-    opts.pop("skip_axioms", None)
-    opts.pop("stats", None)
-    return allowed_outcomes_total(program, tso_check, **opts)
-
-
-def _sc_outcomes(program, **opts):
-    from .scmodel import check_execution as sc_check
-    from .search.total_search import allowed_outcomes_total
-
-    opts.pop("skip_axioms", None)
-    opts.pop("stats", None)
-    return allowed_outcomes_total(program, sc_check, **opts)
 
 
 def _sc_op_outcomes(program, **opts):
@@ -153,26 +135,31 @@ class ModelSpec:
     #: PTX-only options tolerated and dropped (a test tagged with e.g.
     #: ``skip_axioms`` must still be runnable under tso/sc)
     ignored_opts: FrozenSet[str] = frozenset()
-    #: ``run`` accepts a ``stats=EnumStats()`` observability sink
-    enum_stats: bool = False
-    #: relation kernels ``run`` accepts via ``kernel=``; empty means the
-    #: model has no kernel surface and the configured kernel is ignored
-    kernels: FrozenSet[str] = frozenset()
     #: the model has a symbolic (SAT) encoding — certify-eligible
     symbolic: bool = False
     #: the :mod:`repro.zoo` declaration backing this spec, if any
     zoo: Optional[str] = None
     description: str = ""
 
+    @property
+    def enum_stats(self) -> bool:
+        """``run`` accepts a ``stats=EnumStats()`` observability sink
+        (every zoo-backed model does)."""
+        return self.zoo is not None
+
+    @property
+    def kernels(self) -> FrozenSet[str]:
+        """Relation kernels ``run`` accepts via ``kernel=``; empty means
+        the model has no kernel surface and the configured kernel is
+        ignored."""
+        return frozenset(KERNELS) if self.zoo is not None else frozenset()
+
 
 #: zoo models with a dedicated engine: the declaration still defines the
 #: option surface and claims, but dispatch goes to the optimized native
-#: search (prunes, saturation) rather than the generic enumeration
-_NATIVE_RUNS: Dict[str, Callable] = {
-    "ptx": _ptx_outcomes,
-    "tso": _tso_outcomes,
-    "sc": _sc_outcomes,
-}
+#: search (prunes, saturation) rather than the generic enumeration.
+#: Only PTX has one: its hot-path prunes are not yet in the zoo engine.
+_NATIVE_RUNS: Dict[str, Callable] = {"ptx": _ptx_outcomes}
 
 
 def _zoo_specs() -> Tuple[ModelSpec, ...]:
@@ -189,15 +176,6 @@ def _zoo_specs() -> Tuple[ModelSpec, ...]:
                 run,
                 opts=model.opts,
                 ignored_opts=model.ignored_opts,
-                # every enumerative path except the CPU total searches
-                # threads EnumStats through (the zoo engine always does);
-                # the same paths expose the relation-kernel knob
-                enum_stats=model.name not in ("tso", "sc"),
-                kernels=(
-                    frozenset()
-                    if model.name in ("tso", "sc")
-                    else frozenset(KERNELS)
-                ),
                 symbolic=model.name == "ptx",
                 zoo=model.name,
                 description=model.description,

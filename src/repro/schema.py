@@ -31,6 +31,9 @@ History of cache-schema bumps:
   every verdict key: kernels agree on outcomes by construction, but a
   kernel-tagged key keeps a representation bug from silently serving one
   kernel's verdict for another's run.
+* v8 — ``tso`` and ``sc`` run through the generic zoo engine: their
+  results now honour the configured relation kernel and carry
+  enumeration counters, where they used to carry none.
 
 Every consumer module pins the version it was written against via
 :func:`assert_schema` at import time.  A schema bump that edits this
@@ -42,7 +45,7 @@ under the new salt with the old shape.
 from __future__ import annotations
 
 #: Salts every content-addressed verdict key (cache, LRU tier, wire).
-CACHE_SCHEMA_VERSION = 7
+CACHE_SCHEMA_VERSION = 8
 
 #: The JSON serialization shape of tests/results.
 FORMAT_VERSION = 1

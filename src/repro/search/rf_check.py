@@ -41,19 +41,19 @@ coherence order, which is the same verdict enumeration would reach).
 Out-of-fragment requests — axiom ablations (``skip_axioms``) and
 out-of-thin-air speculation (``speculation_values``) invalidate both the
 rf prune and the forbidden-edge derivations — fall back to the
-enumerative engine, as does any unexpected internal failure, so the
-engine is *sound by construction*: every answer is either certified by
-the axiom evaluations or produced by the reference engine.  Fallbacks
-are counted in :class:`~.ptx_search.EnumStats`.
+enumerative engine, counted in :class:`~.ptx_search.EnumStats`.  Every
+other answer is certified by the axiom evaluations.  An internal failure
+is not caught: it propagates as an error, so the differential checks
+(the fuzz oracle's ``ptx-rf-outcomes``) report it instead of comparing
+the reference engine with itself.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.deadline import TimeoutExceeded, check_deadline
+from ..core.deadline import check_deadline
 from ..core.execution import Execution, program_order
 from ..ptx import spec
 from ..ptx.events import Event, Sem, init_write
@@ -72,8 +72,6 @@ from .ptx_search import (
     register_assignment,
 )
 from .values import valuations
-
-logger = logging.getLogger("repro.search.rf_check")
 
 #: co-dependent axioms that still need a per-candidate evaluation once a
 #: location's coherence order is chosen.  Coherence is excluded: its
@@ -407,11 +405,10 @@ def rf_check_outcomes(
     """All outcomes of axiom-consistent executions of ``program``,
     decided by reads-from saturation where possible.
 
-    Guaranteed sound: requests outside the saturation fragment — axiom
-    ablations or out-of-thin-air speculation — and any internal failure
-    fall back to :func:`~.ptx_search.allowed_outcomes`, counted in
-    ``stats.fallbacks``.  The result is always identical to the
-    enumerative engine's.
+    Requests outside the saturation fragment — axiom ablations or
+    out-of-thin-air speculation — fall back to
+    :func:`~.ptx_search.allowed_outcomes`, counted in
+    ``stats.fallbacks``.  An internal failure of the saturation raises.
     """
     stats = stats if stats is not None else EnumStats()
     if skip_axioms or speculation_values:
@@ -423,14 +420,4 @@ def rf_check_outcomes(
             kernel=kernel,
             stats=stats,
         )
-    try:
-        return _saturation_outcomes(program, kernel, stats)
-    except TimeoutExceeded:
-        raise
-    except Exception:  # noqa: BLE001 — soundness net: defer to the reference engine
-        logger.exception(
-            "rf-check saturation failed; falling back to the enumerative "
-            "engine (the verdict is unaffected)"
-        )
-        stats.fallbacks += 1
-        return allowed_outcomes(program, kernel=kernel, stats=stats)
+    return _saturation_outcomes(program, kernel, stats)

@@ -231,33 +231,9 @@ class TestCatVsBuiltinPtx:
 
 
 class TestCatVsBuiltinBaselines:
-    def test_tso_cat_agreement(self):
-        from repro.litmus import BY_NAME
-        from repro.search.total_search import total_co_candidates
-        from repro.tso import build_env as tso_env
-        from repro.tso import check_execution as tso_check
-
-        model = load_model("tso")
-        program = BY_NAME["SB+weak"].program
-        for candidate in total_co_candidates(
-            program, tso_check, include_inconsistent=True
-        ):
-            env = tso_env(candidate.execution)
-            assert cat_consistent(model, env) == candidate.report.consistent
-
-    def test_sc_cat_agreement(self):
-        from repro.litmus import BY_NAME
-        from repro.scmodel import build_env as sc_env
-        from repro.scmodel import check_execution as sc_check
-        from repro.search.total_search import total_co_candidates
-
-        model = load_model("sc")
-        program = BY_NAME["SB+weak"].program
-        for candidate in total_co_candidates(
-            program, sc_check, include_inconsistent=True
-        ):
-            env = sc_env(candidate.execution)
-            assert cat_consistent(model, env) == candidate.report.consistent
+    """Models that keep a Python-AST twin.  TSO and SC have none: their
+    cat text is their only definition, checked against the operational
+    machines (tests/test_operational_equivalence.py)."""
 
     def test_rc11_cat_agreement(self):
         from repro.core import Scope, device_thread

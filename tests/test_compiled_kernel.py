@@ -26,6 +26,7 @@ from repro.litmus import SUITE, RunConfig, run_litmus
 from repro.litmus.corpus import corpus_length4, regression_corpus
 from repro.litmus.runner import partition_opts
 from repro.litmus.serialize import verdict_digest
+from repro.registry import resolve_model
 from repro.relation import BitRel, Universe
 from repro.search.posets import oriented_orders, oriented_orders_incremental
 from repro.search.ptx_search import EnumStats, allowed_outcomes
@@ -87,6 +88,30 @@ def test_verdict_digests_agree_on_regression_corpus():
             for kernel in KERNELS
         }
         assert len(set(digests.values())) == 1, (test.name, digests)
+
+
+@pytest.mark.parametrize("model", ["tso", "sc"])
+def test_three_kernels_agree_on_cpu_baselines(model):
+    """The CPU baselines run through the zoo engine, so they take the
+    kernel too: identical outcomes and EnumStats under all three
+    kernels on the suite, CORPUS4 and the regression corpus."""
+    programs = [
+        (test.name, test.program, dict(test.search_opts))
+        for test in (*SUITE, *regression_corpus())
+    ] + [
+        (f"{name}@{variant}", generated.test.program, {})
+        for name, variant, generated in CORPUS4
+    ]
+    run = resolve_model(model).run
+    for name, program, search_opts in programs:
+        opts, _ = partition_opts(model, search_opts)
+        results = []
+        for kernel in KERNELS:
+            stats = EnumStats()
+            outcomes = run(program, kernel=kernel, stats=stats, **opts)
+            results.append((outcomes, stats.as_dict()))
+        assert results[0][0], name
+        assert all(result == results[0] for result in results), name
 
 
 # ----------------------------------------------------------------------

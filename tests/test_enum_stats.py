@@ -7,6 +7,8 @@ fully checked, evaluator memo behaviour); those counters ride on
 aggregate on :class:`~repro.litmus.session.SessionStats`.
 """
 
+import pytest
+
 from repro.core import Scope, device_thread, host_thread
 from repro.litmus import BY_NAME, RunConfig, Session, run_litmus
 from repro.litmus.serialize import result_from_dict, result_to_dict
@@ -100,8 +102,16 @@ class TestResultPlumbing:
         assert result.enum_stats is None
 
     def test_non_ptx_result_carries_none(self):
-        result = run_litmus(BY_NAME["CoRR"], model="sc")
+        """Models outside the zoo (the operational machines) enumerate
+        no candidates, so they report no counters."""
+        result = run_litmus(BY_NAME["CoRR"], model="sc-op")
         assert result.enum_stats is None
+
+    @pytest.mark.parametrize("model", ["sc", "tso"])
+    def test_cpu_baseline_result_carries_stats(self, model):
+        result = run_litmus(BY_NAME["CoRR"], model=model)
+        assert result.enum_stats is not None
+        assert result.enum_stats.candidates_checked > 0
 
     def test_serialization_round_trip(self):
         result = run_litmus(BY_NAME["CoRR"])

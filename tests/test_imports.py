@@ -25,9 +25,12 @@ PACKAGES = [
         f"repro.{name}"
         for name in (
             "cat cert core fuzz kodkod lang litmus mapping operational proof "
-            "ptx rc11 relation sat scmodel search serve tso zoo"
+            "ptx rc11 relation sat search serve zoo"
         ).split()
     ),
+    # the public facade is a module, lazy the same way: a bare
+    # ``import repro.api`` loads no subpackage
+    "repro.api",
 ]
 
 #: packages a plain enumerative run has no business loading

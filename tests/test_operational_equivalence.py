@@ -4,7 +4,9 @@ The paper (§2.2) notes that axiomatic and operational presentations of a
 model should ideally be proven equivalent (as was done for x86-TSO [44]).
 We check the property empirically: for every litmus-sized program, the set
 of outcomes of the SC interleaving machine equals the axiomatic SC search,
-and likewise for the TSO store-buffer machine vs the Figure 2 axioms.
+and likewise for the TSO store-buffer machine vs the Figure 2 axioms.  The
+axiomatic side is the registry's model (the cat text run by the zoo
+engine), checked under every relation kernel.
 """
 
 import pytest
@@ -23,12 +25,18 @@ from repro.operational import (
 from repro.ptx import AtomOp, ProgramBuilder, Sem
 from repro.ptx.isa import Bar, Fence, Ld, St
 from repro.ptx.program import Program, ThreadCode
-from repro.scmodel import check_execution as sc_check
-from repro.search.total_search import allowed_outcomes_total
-from repro.tso import check_execution as tso_check
+from repro.registry import kernel_names, resolve_model
 
 T0 = device_thread(0, 0, 0)
 T1 = device_thread(0, 1, 0)
+
+
+def assert_axiomatic_agrees(model, program, operational):
+    """The axiomatic ``model`` reproduces ``operational`` under every
+    relation kernel."""
+    for kernel in kernel_names():
+        axiomatic = resolve_model(model).run(program, kernel=kernel)
+        assert axiomatic == operational, kernel
 
 
 def named_programs():
@@ -86,16 +94,12 @@ NAMED = list(named_programs())
 
 @pytest.mark.parametrize("program", NAMED, ids=[p.name for p in NAMED])
 def test_sc_machine_agrees_with_axiomatic_sc(program):
-    operational = sc_operational_outcomes(program)
-    axiomatic = allowed_outcomes_total(program, sc_check)
-    assert operational == axiomatic
+    assert_axiomatic_agrees("sc", program, sc_operational_outcomes(program))
 
 
 @pytest.mark.parametrize("program", NAMED, ids=[p.name for p in NAMED])
 def test_tso_machine_agrees_with_axiomatic_tso(program):
-    operational = tso_operational_outcomes(program)
-    axiomatic = allowed_outcomes_total(program, tso_check)
-    assert operational == axiomatic
+    assert_axiomatic_agrees("tso", program, tso_operational_outcomes(program))
 
 
 class TestMachineBasics:
@@ -162,14 +166,10 @@ def random_programs(draw):
 @given(random_programs())
 @settings(max_examples=30, deadline=None)
 def test_random_agreement_sc(program):
-    assert sc_operational_outcomes(program) == allowed_outcomes_total(
-        program, sc_check
-    )
+    assert_axiomatic_agrees("sc", program, sc_operational_outcomes(program))
 
 
 @given(random_programs())
 @settings(max_examples=30, deadline=None)
 def test_random_agreement_tso(program):
-    assert tso_operational_outcomes(program) == allowed_outcomes_total(
-        program, tso_check
-    )
+    assert_axiomatic_agrees("tso", program, tso_operational_outcomes(program))

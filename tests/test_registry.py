@@ -8,6 +8,7 @@ from repro.registry import (
     UnknownNameError,
     engine_names,
     engines_for_model,
+    kernel_names,
     model_names,
     partition_opts,
     resolve_engine,
@@ -82,6 +83,18 @@ class TestCapabilities:
         assert resolve_engine("enumerative").supports_outcomes
         assert resolve_engine("symbolic-enum").supports_outcomes
         assert resolve_engine("rf-check").supports_outcomes
+
+    def test_kernels_and_stats_follow_the_zoo(self):
+        """Every zoo-backed model takes ``kernel=`` and ``stats=``; the
+        others (operational machines, legacy PTX) take neither."""
+        for name in ("ptx", "tso", "sc", "imm"):
+            assert resolve_model(name).zoo == name
+        for name in model_names():
+            spec = resolve_model(name)
+            zoo_backed = spec.zoo is not None
+            assert spec.enum_stats is zoo_backed, name
+            expected = frozenset(kernel_names()) if zoo_backed else frozenset()
+            assert spec.kernels == expected, name
 
     def test_engines_for_model(self):
         for_ptx = engines_for_model("ptx")

@@ -123,12 +123,12 @@ class TestSchemaMigration:
         assert cache.get(new_key, test) is None  # miss, not an error
         assert cache.stats.misses == 1
 
-    def test_current_version_is_seven(self):
-        # v7: the relation kernel became a RunConfig field and joined
-        # every verdict key (single source: repro.schema)
+    def test_current_version_is_eight(self):
+        # v8: tso/sc results honour the relation kernel and carry
+        # enumeration counters (single source: repro.schema)
         from repro import schema
 
-        assert cache_mod.CACHE_SCHEMA_VERSION == 7
+        assert cache_mod.CACHE_SCHEMA_VERSION == 8
         assert schema.CACHE_SCHEMA_VERSION == cache_mod.CACHE_SCHEMA_VERSION
 
     def test_certify_flag_salts_key_under_any_version(self, monkeypatch):

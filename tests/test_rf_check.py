@@ -3,13 +3,16 @@
 The engine's contract is absolute: ``rf_check_outcomes`` returns a
 result *byte-identical* to the enumerative engine's on every program —
 by deciding coherence per location through constraint saturation when
-the request is in-fragment, and by falling back to enumeration (never
-erroring) when it is not.  These tests pin the contract three ways:
+the request is in-fragment, and by falling back to enumeration when it
+is not.  An internal failure is an error, never a silent fallback.
+These tests pin the contract four ways:
 
 * quick structural checks on hand-picked suite tests (non-slow);
 * exhaustive agreement over the full suite and the pinned length-4
   generated corpus, under all three relation kernels (slow);
-* a hypothesis sweep over the fuzzer's randomized test stream.
+* a hypothesis sweep over the fuzzer's randomized test stream;
+* a negative control: a crashing saturation surfaces as an error, both
+  from the engine and in the fuzz oracle.
 """
 
 import pytest
@@ -101,14 +104,41 @@ class TestFallback:
         assert outcomes == allowed_outcomes(test.program, **opts)
 
     def test_fallback_never_raises(self):
-        """Whatever the request, the answer comes back (the engine's
-        'guaranteed sound, never errors' clause): every suite test with
+        """Whatever the request, the answer comes back equal to
+        enumeration, in fragment or by fallback: every suite test with
         engine-specific opts included."""
         for test in SUITE:
             opts = _opts(test)
             assert rf_check_outcomes(test.program, **opts) == (
                 allowed_outcomes(test.program, **opts)
             ), test.name
+
+
+class TestSaturationFailure:
+    """Negative control: no catch-all may turn a saturation bug into an
+    enumeration answer that then agrees with enumeration."""
+
+    @pytest.fixture
+    def broken(self, monkeypatch):
+        from repro.search import rf_check
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("saturation bug")
+
+        monkeypatch.setattr(rf_check, "_saturation_outcomes", crash)
+
+    def test_failure_propagates(self, broken):
+        stats = EnumStats()
+        with pytest.raises(RuntimeError, match="saturation bug"):
+            rf_check_outcomes(BY_NAME["MP+rel_acq.gpu"].program, stats=stats)
+        assert stats.fallbacks == 0
+
+    def test_oracle_reports_the_error(self, broken):
+        from repro.fuzz.oracle import Oracle
+
+        verdict = Oracle().evaluate_one(BY_NAME["MP+rel_acq.gpu"])
+        assert "ptx-rf-outcomes" in [kind for kind, _ in verdict.errors]
+        assert "ptx-rf-outcomes" not in verdict.agreed
 
 
 class TestRunnerIntegration:
